@@ -93,6 +93,7 @@ bench-paper:
 # Short fuzz pass over every fuzz target.
 fuzz:
 	$(GO) test -fuzz FuzzDecodeObject -fuzztime 10s ./internal/backend/oodb
+	$(GO) test -fuzz FuzzObjectView -fuzztime 10s ./internal/backend/oodb
 	$(GO) test -fuzz FuzzParse -fuzztime 10s ./internal/query
 	$(GO) test -fuzz FuzzDecodeCommit -fuzztime 10s ./internal/remote
 	$(GO) test -fuzz FuzzClientDemux -fuzztime 10s ./internal/remote

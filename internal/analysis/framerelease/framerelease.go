@@ -224,11 +224,12 @@ func useConsumes(stack []ast.Node, id *ast.Ident) bool {
 			if parent.X != id {
 				return false // the use IS the selector's field name
 			}
-			// v.M(...): releasing if the method is Release; plain
-			// field reads (v.Page, v.ID) are not a handoff.
+			// v.M(...): releasing if the method is Release, a handoff
+			// if it is Handle (the handle carries the pin); plain field
+			// reads (v.Page, v.ID) are not a handoff.
 			if i >= 1 {
 				if call, isCall := stack[i-1].(*ast.CallExpr); isCall && call.Fun == parent {
-					return parent.Sel.Name == "Release"
+					return parent.Sel.Name == "Release" || parent.Sel.Name == "Handle"
 				}
 			}
 			return false

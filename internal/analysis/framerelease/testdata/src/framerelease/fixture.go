@@ -45,6 +45,11 @@ func goodArg(p *buffer.Pool) error {
 
 func consume(f *buffer.Frame) error { return nil }
 
+func goodHandle(p *buffer.Pool) *buffer.Handle {
+	f := p.Get(9)
+	return f.Handle() // the handle carries the pin
+}
+
 func allowed(p *buffer.Pool) uint64 {
 	f := p.Get(8) //hyperlint:allow framerelease -- fixture exercises the suppression path
 	return f.ID

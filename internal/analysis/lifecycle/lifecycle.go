@@ -15,6 +15,13 @@
 //     snapshot pins its version in the store's ring.
 //   - *fault.Proxy — started by fault.NewProxy, released by Close.
 //
+// A frame converted to its handle (f.Handle()) hands its pin to the
+// handle, whose Release drops it.
+//
+// The analyzer also enforces the borrow rule for page slices lent to
+// btree.View, objstore.View and objstore.ViewBatch callbacks (see
+// borrow.go).
+//
 // Ownership transfers the analyzer understands: returning the
 // resource, storing it into a field, element or composite literal,
 // capturing it in a function literal, go statement or deferred call,
@@ -129,7 +136,7 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	imported := false
-	for _, p := range []string{bufferPath, storePath, vfsPath, hyperPath, faultPath} {
+	for _, p := range []string{bufferPath, storePath, vfsPath, hyperPath, faultPath, btreePath, objstorePath} {
 		if analysis.FindImport(pass.Pkg, p) != nil {
 			imported = true
 			break
@@ -149,6 +156,9 @@ func run(pass *analysis.Pass) error {
 		pass:  pass,
 		graph: analysis.NewCallGraph(pass.Pkg, pass.TypesInfo, files),
 		cfgs:  make(map[*analysis.FuncInfo]*analysis.CFG),
+	}
+	for _, f := range files {
+		a.checkBorrows(f)
 	}
 
 	// Phase 1: which parameters does each in-package function consume?
@@ -657,14 +667,21 @@ func (a *analyzer) trackedIdent(e ast.Expr, st lifeState) (*types.Var, bool) {
 }
 
 // releaseTargets returns the variables whose obligation this call
-// discharges: pool.Release(f) for frames, x.Close() — or x.Abort(),
-// which also drops a view's pin — for everything else.
+// discharges: pool.Release(f) for frames, and f.Handle(), which moves
+// the pin into the frame's handle; x.Close() — or x.Abort(), which
+// also drops a view's pin — for everything else.
 func (a *analyzer) releaseTargets(call *ast.CallExpr) []*types.Var {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
 	switch sel.Sel.Name {
+	case "Handle":
+		if v, ok := localVar(a.pass.TypesInfo, sel.X); ok && len(call.Args) == 0 {
+			if k, tracked := kindOfType(v.Type()); tracked && k == kindFrame {
+				return []*types.Var{v}
+			}
+		}
 	case "Release":
 		if len(call.Args) != 1 {
 			return nil

@@ -14,3 +14,7 @@ func (p *Pool) Insert(id uint64, img []byte) *Frame              { return &Frame
 func (p *Pool) GetOrInsert(id uint64, img []byte) (*Frame, bool) { return &Frame{ID: id}, false }
 func (p *Pool) Release(f *Frame)                                 {}
 func (p *Pool) MarkDirty(f *Frame)                               {}
+
+type Handle struct{ f *Frame }
+
+func (f *Frame) Handle() *Handle { return &Handle{f} }

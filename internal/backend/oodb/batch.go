@@ -7,36 +7,34 @@ import (
 
 var _ hyper.FrontierPrefetcher = (*DB)(nil)
 
-// Batched reads (hyper.BatchReader): the object store's GetBatch visits
-// a frontier's objects grouped by data page, so each page is fetched
-// and decoded from the buffer pool once per batch — and over the page
-// server, all of a frontier's missing pages arrive in one framed round
-// trip instead of one per object.
+// Batched reads (hyper.BatchReader): the object store's ViewBatch
+// visits a frontier's objects grouped by data page, so each page is
+// pinned once per batch and every object is read in place — and over
+// the page server, all of a frontier's missing pages arrive in one
+// framed round trip instead of one per object.
 
-// loadBatch activates every listed node's object, objs[i] for ids[i].
-func (d *DB) loadBatch(ids []hyper.NodeID) ([]*object, error) {
+// viewBatch runs fn over every listed node's object, fn(i, v) for
+// ids[i], in an unspecified order, learning the sections in what. The
+// cached address hints go in and the addresses actually read come back
+// into the cache.
+func (d *DB) viewBatch(ids []hyper.NodeID, what learn, fn func(i int, v objView) error) error {
 	oids := make([]objstore.OID, len(ids))
+	hints := make([]objstore.Addr, len(ids))
 	for i, id := range ids {
-		oid, err := d.oidOf(id)
+		e, err := d.entryOf(id)
 		if err != nil {
-			return nil, &hyper.BatchError{Index: i, Err: err}
+			return &hyper.BatchError{Index: i, Err: err}
 		}
-		oids[i] = oid
+		oids[i], hints[i] = e.oid, e.addr
 	}
-	datas, err := d.objs.GetBatch(oids)
-	if err != nil {
-		return nil, err
-	}
-	objs := make([]*object, len(ids))
-	for i, data := range datas {
-		o, err := decodeObject(data)
+	return d.objs.ViewBatch(oids, hints, func(i int, data []byte) error {
+		v, err := parseView(data)
 		if err != nil {
-			return nil, &hyper.BatchError{Index: i, Err: err}
+			return &hyper.BatchError{Index: i, Err: err}
 		}
-		d.noteObject(oids[i], o)
-		objs[i] = o
-	}
-	return objs, nil
+		d.noteView(oids[i], hints[i], &v, what)
+		return fn(i, v)
+	})
 }
 
 // PrefetchFrontier (hyper.FrontierPrefetcher) starts warming the page
@@ -49,12 +47,14 @@ func (d *DB) loadBatch(ids []hyper.NodeID) ([]*object, error) {
 // failure.
 func (d *DB) PrefetchFrontier(ids []hyper.NodeID) (wait func() error) {
 	oids := make([]objstore.OID, 0, len(ids))
+	hints := make([]objstore.Addr, 0, len(ids))
 	for _, id := range ids {
-		if oid, err := d.oidOf(id); err == nil {
-			oids = append(oids, oid)
+		if e, err := d.entryOf(id); err == nil {
+			oids = append(oids, e.oid)
+			hints = append(hints, e.addr)
 		}
 	}
-	return d.objs.PrefetchOIDs(oids)
+	return d.objs.PrefetchOIDs(oids, hints)
 }
 
 // NodesBatch returns the attributes of each listed node.
@@ -62,13 +62,13 @@ func (d *DB) NodesBatch(ids []hyper.NodeID) ([]hyper.Node, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	objs, err := d.loadBatch(ids)
+	out := make([]hyper.Node, len(ids))
+	err := d.viewBatch(ids, 0, func(i int, v objView) error {
+		out[i] = v.node()
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]hyper.Node, len(ids))
-	for i, o := range objs {
-		out[i] = o.node
 	}
 	return out, nil
 }
@@ -78,53 +78,39 @@ func (d *DB) HundredBatch(ids []hyper.NodeID) ([]int32, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	objs, err := d.loadBatch(ids)
+	out := make([]int32, len(ids))
+	err := d.viewBatch(ids, 0, func(i int, v objView) error {
+		out[i] = v.hundred()
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]int32, len(ids))
-	for i, o := range objs {
-		out[i] = o.node.Hundred
 	}
 	return out, nil
 }
 
 // ChildrenBatch returns each node's ordered children.
 func (d *DB) ChildrenBatch(ids []hyper.NodeID) ([][]hyper.NodeID, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	objs, err := d.loadBatch(ids)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]hyper.NodeID, len(ids))
-	for i, o := range objs {
-		kids := make([]hyper.NodeID, len(o.children))
-		for j, r := range o.children {
-			kids[j] = r.id
-		}
-		out[i] = kids
-	}
-	return out, nil
+	return d.refIDsBatch(ids, secChildren)
 }
 
 // PartsBatch returns each node's M-N parts.
 func (d *DB) PartsBatch(ids []hyper.NodeID) ([][]hyper.NodeID, error) {
+	return d.refIDsBatch(ids, secParts)
+}
+
+// refIDsBatch returns one reference section of each listed node.
+func (d *DB) refIDsBatch(ids []hyper.NodeID, sec int) ([][]hyper.NodeID, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	objs, err := d.loadBatch(ids)
+	out := make([][]hyper.NodeID, len(ids))
+	err := d.viewBatch(ids, learnSec(sec), func(i int, v objView) error {
+		out[i] = v.refs(sec).ids()
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([][]hyper.NodeID, len(ids))
-	for i, o := range objs {
-		parts := make([]hyper.NodeID, len(o.parts))
-		for j, r := range o.parts {
-			parts[j] = r.id
-		}
-		out[i] = parts
 	}
 	return out, nil
 }
@@ -134,17 +120,13 @@ func (d *DB) RefsToBatch(ids []hyper.NodeID) ([][]hyper.Edge, error) {
 	if len(ids) == 0 {
 		return nil, nil
 	}
-	objs, err := d.loadBatch(ids)
+	out := make([][]hyper.Edge, len(ids))
+	err := d.viewBatch(ids, learnSec(secRefsTo), func(i int, v objView) error {
+		out[i] = edgesFrom(ids[i], v.edges(secRefsTo), secRefsTo)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([][]hyper.Edge, len(ids))
-	for i, o := range objs {
-		edges := make([]hyper.Edge, len(o.refsTo))
-		for j, e := range o.refsTo {
-			edges[j] = hyper.Edge{From: ids[i], To: e.id, OffsetFrom: e.offFrom, OffsetTo: e.offTo}
-		}
-		out[i] = edges
 	}
 	return out, nil
 }

@@ -85,11 +85,17 @@ type DB struct {
 	// have been invalid (Abort, failed Commit) and on DropCaches, which
 	// promises a genuinely cold next run.
 	//
+	// An entry also carries the object's record address once the object
+	// has been read, which lets the next read skip the object table.
+	// The address is only a hint: objects relocate, and objstore trusts
+	// it only when the stub found there is stamped with the entry's OID
+	// (DESIGN.md §15).
+	//
 	// oidMu guards oidCache: every object activation writes learned
 	// mappings into it, so even read-only operations mutate the map and
 	// concurrent readers sharing one DB would race without it.
 	oidMu    sync.Mutex
-	oidCache map[hyper.NodeID]uint64
+	oidCache map[hyper.NodeID]oidEntry
 
 	// ro is set when the space is a read-only view (a snapshot):
 	// mutating entry points then fail with store.ErrReadOnly instead of
@@ -170,77 +176,141 @@ func (d *DB) Name() string { return "oodb" }
 // Store exposes the underlying page space (harness diagnostics).
 func (d *DB) Store() Space { return d.st }
 
-func (d *DB) oidOf(id hyper.NodeID) (objstore.OID, error) {
-	d.oidMu.Lock()
-	oid, ok := d.oidCache[id]
-	d.oidMu.Unlock()
-	if ok {
-		return objstore.OID(oid), nil
-	}
-	v, ok, err := d.uniq.Get(btree.U64Key(uint64(id)))
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("%w: node %d", hyper.ErrNotFound, id)
-	}
-	return objstore.OID(btree.U64FromKey(v)), nil
+// oidEntry is one oidCache entry: a node's OID and, once the object
+// has been read, the record address to try first (zero when unknown).
+type oidEntry struct {
+	oid  objstore.OID
+	addr objstore.Addr
 }
 
-// noteObject records the id→OID mappings an activated object carries:
-// its own identity plus every relationship target. Only decoded
-// storage bytes feed the cache, so a hit is as authoritative as a uniq
-// index probe.
-func (d *DB) noteObject(oid objstore.OID, o *object) {
+func (d *DB) oidOf(id hyper.NodeID) (objstore.OID, error) {
+	e, err := d.entryOf(id)
+	return e.oid, err
+}
+
+// entryOf resolves id through the cache, falling back to the uniq
+// index.
+func (d *DB) entryOf(id hyper.NodeID) (oidEntry, error) {
+	d.oidMu.Lock()
+	e, ok := d.oidCache[id]
+	d.oidMu.Unlock()
+	if ok {
+		return e, nil
+	}
+	found, err := d.uniq.View(btree.U64Key(uint64(id)), func(v []byte) error {
+		e.oid = objstore.OID(btree.U64FromKey(v))
+		return nil
+	})
+	if err != nil {
+		return oidEntry{}, err
+	}
+	if !found {
+		return oidEntry{}, fmt.Errorf("%w: node %d", hyper.ErrNotFound, id)
+	}
+	return e, nil
+}
+
+// learn selects which of an activated object's relationship sections
+// noteView copies into the cache: one bit per section, plus learnParent.
+// A read learns the targets it returns — the ones the caller navigates
+// next — and nothing else, which keeps activation cost proportional to
+// what the operation uses.
+type learn uint8
+
+const (
+	learnParent learn = 1 << numSections
+	learnAll    learn = learnParent | 1<<secChildren | 1<<secParts | 1<<secPartOf |
+		1<<secRefsTo | 1<<secRefsFrom
+)
+
+func learnSec(sec int) learn { return 1 << sec }
+
+// noteView records the id→OID mappings an activated object carries:
+// its own identity with the address it was read at, plus the targets
+// of the sections selected by what. Only stamped storage bytes feed the
+// cache, so a hit is as authoritative as a uniq index probe. An entry
+// that already maps a target to the same OID keeps its address.
+func (d *DB) noteView(oid objstore.OID, at objstore.Addr, v *objView, what learn) {
 	d.oidMu.Lock()
 	defer d.oidMu.Unlock()
 	if d.oidCache == nil {
-		d.oidCache = make(map[hyper.NodeID]uint64, 256)
+		d.oidCache = make(map[hyper.NodeID]oidEntry, 256)
 	}
-	d.oidCache[o.node.ID] = uint64(oid)
-	if o.parentOID != 0 {
-		d.oidCache[o.parentID] = o.parentOID
+	d.oidCache[v.id()] = oidEntry{oid, at}
+	note := func(id hyper.NodeID, oid uint64) {
+		if e, ok := d.oidCache[id]; !ok || e.oid != objstore.OID(oid) {
+			d.oidCache[id] = oidEntry{oid: objstore.OID(oid)}
+		}
 	}
-	for _, r := range o.children {
-		d.oidCache[r.id] = r.oid
+	if what&learnParent != 0 {
+		if poid, pid := v.parent(); poid != 0 {
+			note(pid, poid)
+		}
 	}
-	for _, r := range o.parts {
-		d.oidCache[r.id] = r.oid
+	for sec := secChildren; sec <= secPartOf; sec++ {
+		if what&learnSec(sec) != 0 {
+			l := v.refs(sec)
+			for i := 0; i < l.len(); i++ {
+				r := l.at(i)
+				note(r.id, r.oid)
+			}
+		}
 	}
-	for _, r := range o.partOf {
-		d.oidCache[r.id] = r.oid
-	}
-	for _, e := range o.refsTo {
-		d.oidCache[e.id] = e.oid
-	}
-	for _, e := range o.refsFrom {
-		d.oidCache[e.id] = e.oid
+	for sec := secRefsTo; sec <= secRefsFrom; sec++ {
+		if what&learnSec(sec) != 0 {
+			l := v.edges(sec)
+			for i := 0; i < l.len(); i++ {
+				e := l.at(i)
+				note(e.id, e.oid)
+			}
+		}
 	}
 }
 
+// viewNode runs fn over id's object, read in place (see viewOID).
+func (d *DB) viewNode(id hyper.NodeID, what learn, fn func(v objView) error) error {
+	e, err := d.entryOf(id)
+	if err != nil {
+		return err
+	}
+	return d.viewOID(e.oid, e.addr, what, fn)
+}
+
+// viewOID runs fn over the object oid while its record is pinned,
+// trying the address hint at first. The view borrows page memory: fn
+// must copy whatever it keeps.
+func (d *DB) viewOID(oid objstore.OID, at objstore.Addr, what learn, fn func(v objView) error) error {
+	err := d.objs.View(oid, &at, func(data []byte) error {
+		v, err := parseView(data)
+		if err != nil {
+			return err
+		}
+		d.noteView(oid, at, &v, what)
+		return fn(v)
+	})
+	if errors.Is(err, objstore.ErrNotFound) {
+		return fmt.Errorf("%w: oid %d", hyper.ErrNotFound, oid)
+	}
+	return err
+}
+
+// load activates id's object as an owned, mutable copy (write paths).
 func (d *DB) load(id hyper.NodeID) (objstore.OID, *object, error) {
-	oid, err := d.oidOf(id)
+	e, err := d.entryOf(id)
 	if err != nil {
 		return 0, nil, err
 	}
-	o, err := d.loadByOID(oid)
-	return oid, o, err
+	o, err := d.loadEntry(e)
+	return e.oid, o, err
 }
 
-func (d *DB) loadByOID(oid objstore.OID) (*object, error) {
-	data, err := d.objs.Get(oid)
-	if err != nil {
-		if errors.Is(err, objstore.ErrNotFound) {
-			return nil, fmt.Errorf("%w: oid %d", hyper.ErrNotFound, oid)
-		}
-		return nil, err
-	}
-	o, err := decodeObject(data)
-	if err != nil {
-		return nil, err
-	}
-	d.noteObject(oid, o)
-	return o, nil
+func (d *DB) loadEntry(e oidEntry) (*object, error) {
+	var o *object
+	err := d.viewOID(e.oid, e.addr, learnAll, func(v objView) error {
+		o = v.object()
+		return nil
+	})
+	return o, err
 }
 
 func (d *DB) storeObj(oid objstore.OID, o *object) error {
@@ -356,7 +426,7 @@ func (d *DB) AddRef(e hyper.Edge) error {
 	}
 	if e.From == e.To {
 		// Self-edge: reload so we do not clobber the refsTo append.
-		tObj, err = d.loadByOID(tOID)
+		tObj, err = d.loadEntry(oidEntry{oid: tOID})
 		if err != nil {
 			return err
 		}
@@ -366,21 +436,21 @@ func (d *DB) AddRef(e hyper.Edge) error {
 }
 
 // Node returns a node's attributes.
-func (d *DB) Node(id hyper.NodeID) (hyper.Node, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return hyper.Node{}, err
-	}
-	return o.node, nil
+func (d *DB) Node(id hyper.NodeID) (n hyper.Node, err error) {
+	err = d.viewNode(id, 0, func(v objView) error {
+		n = v.node()
+		return nil
+	})
+	return n, err
 }
 
 // Hundred returns the hundred attribute via the key index (O1's path).
-func (d *DB) Hundred(id hyper.NodeID) (int32, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return 0, err
-	}
-	return o.node.Hundred, nil
+func (d *DB) Hundred(id hyper.NodeID) (h int32, err error) {
+	err = d.viewNode(id, 0, func(v objView) error {
+		h = v.hundred()
+		return nil
+	})
+	return h, err
 }
 
 // SetHundred updates the attribute and maintains the secondary index.
@@ -412,12 +482,12 @@ func (d *DB) OIDOf(id hyper.NodeID) (hyper.OID, error) {
 }
 
 // HundredByOID is O2: direct object-table access, no key index.
-func (d *DB) HundredByOID(oid hyper.OID) (int32, error) {
-	o, err := d.loadByOID(objstore.OID(oid))
-	if err != nil {
-		return 0, err
-	}
-	return o.node.Hundred, nil
+func (d *DB) HundredByOID(oid hyper.OID) (h int32, err error) {
+	err = d.viewOID(objstore.OID(oid), objstore.Addr{}, 0, func(v objView) error {
+		h = v.hundred()
+		return nil
+	})
+	return h, err
 }
 
 // RangeHundred is a covering scan of the hundred index.
@@ -444,97 +514,95 @@ func scanAttrIndex(t *btree.Tree, lo, hi int32) ([]hyper.NodeID, error) {
 
 // Children returns the ordered children from the parent's object.
 func (d *DB) Children(id hyper.NodeID) ([]hyper.NodeID, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.NodeID, len(o.children))
-	for i, r := range o.children {
-		out[i] = r.id
-	}
-	return out, nil
+	return d.refIDs(id, secChildren)
 }
 
 // Parts returns the M-N parts.
 func (d *DB) Parts(id hyper.NodeID) ([]hyper.NodeID, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.NodeID, len(o.parts))
-	for i, r := range o.parts {
-		out[i] = r.id
-	}
-	return out, nil
-}
-
-// RefsTo returns the outgoing association edges.
-func (d *DB) RefsTo(id hyper.NodeID) ([]hyper.Edge, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.Edge, len(o.refsTo))
-	for i, e := range o.refsTo {
-		out[i] = hyper.Edge{From: id, To: e.id, OffsetFrom: e.offFrom, OffsetTo: e.offTo}
-	}
-	return out, nil
-}
-
-// Parent returns the 1-N parent.
-func (d *DB) Parent(id hyper.NodeID) (hyper.NodeID, bool, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return 0, false, err
-	}
-	return o.parentID, o.parentOID != 0, nil
+	return d.refIDs(id, secParts)
 }
 
 // PartOf returns the wholes this node is part of.
 func (d *DB) PartOf(id hyper.NodeID) ([]hyper.NodeID, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.NodeID, len(o.partOf))
-	for i, r := range o.partOf {
-		out[i] = r.id
-	}
-	return out, nil
+	return d.refIDs(id, secPartOf)
+}
+
+// refIDs returns the uniqueIds of one reference section of id's object.
+func (d *DB) refIDs(id hyper.NodeID, sec int) (out []hyper.NodeID, err error) {
+	err = d.viewNode(id, learnSec(sec), func(v objView) error {
+		out = v.refs(sec).ids()
+		return nil
+	})
+	return out, err
+}
+
+// RefsTo returns the outgoing association edges.
+func (d *DB) RefsTo(id hyper.NodeID) ([]hyper.Edge, error) {
+	return d.edgesOf(id, secRefsTo)
 }
 
 // RefsFrom returns the incoming association edges.
 func (d *DB) RefsFrom(id hyper.NodeID) ([]hyper.Edge, error) {
-	_, o, err := d.load(id)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]hyper.Edge, len(o.refsFrom))
-	for i, e := range o.refsFrom {
-		out[i] = hyper.Edge{From: e.id, To: id, OffsetFrom: e.offFrom, OffsetTo: e.offTo}
-	}
-	return out, nil
+	return d.edgesOf(id, secRefsFrom)
 }
 
-// ScanTen walks the uniqueId index over [first, last] and activates
-// each object for its ten attribute.
+// edgesOf returns one association section of id's object as edges.
+func (d *DB) edgesOf(id hyper.NodeID, sec int) (out []hyper.Edge, err error) {
+	err = d.viewNode(id, learnSec(sec), func(v objView) error {
+		out = edgesFrom(id, v.edges(sec), sec)
+		return nil
+	})
+	return out, err
+}
+
+// edgesFrom converts an association section of node id's object into
+// edges: refsTo entries leave id, refsFrom entries arrive at it.
+func edgesFrom(id hyper.NodeID, l edgeList, sec int) []hyper.Edge {
+	out := make([]hyper.Edge, l.len())
+	for i := range out {
+		e := l.at(i)
+		if sec == secRefsTo {
+			out[i] = hyper.Edge{From: id, To: e.id, OffsetFrom: e.offFrom, OffsetTo: e.offTo}
+		} else {
+			out[i] = hyper.Edge{From: e.id, To: id, OffsetFrom: e.offFrom, OffsetTo: e.offTo}
+		}
+	}
+	return out
+}
+
+// Parent returns the 1-N parent.
+func (d *DB) Parent(id hyper.NodeID) (parent hyper.NodeID, ok bool, err error) {
+	err = d.viewNode(id, learnParent, func(v objView) error {
+		var poid uint64
+		poid, parent = v.parent()
+		ok = poid != 0
+		return nil
+	})
+	return parent, ok, err
+}
+
+// ScanTen walks the uniqueId index over [first, last] and reads each
+// object's ten attribute in place.
 func (d *DB) ScanTen(first, last hyper.NodeID, visit func(hyper.NodeID, int32) bool) error {
 	from := btree.U64Key(uint64(first))
 	to := btree.U64Key(uint64(last) + 1)
-	var stop bool
-	err := d.uniq.Scan(from, to, func(k, v []byte) (bool, error) {
-		o, err := d.loadByOID(objstore.OID(btree.U64FromKey(v)))
-		if err != nil {
+	return d.uniq.Scan(from, to, func(k, v []byte) (bool, error) {
+		id := hyper.NodeID(btree.U64FromKey(k))
+		e := oidEntry{oid: objstore.OID(btree.U64FromKey(v))}
+		d.oidMu.Lock()
+		if c, ok := d.oidCache[id]; ok && c.oid == e.oid {
+			e.addr = c.addr
+		}
+		d.oidMu.Unlock()
+		var ten int32
+		if err := d.viewOID(e.oid, e.addr, 0, func(v objView) error {
+			ten = v.ten()
+			return nil
+		}); err != nil {
 			return false, err
 		}
-		if !visit(hyper.NodeID(btree.U64FromKey(k)), o.node.Ten) {
-			stop = true
-			return false, nil
-		}
-		return true, nil
+		return visit(id, ten), nil
 	})
-	_ = stop
-	return err
 }
 
 func (d *DB) contentNode(id hyper.NodeID, want hyper.Kind) (objstore.OID, *object, error) {
@@ -548,13 +616,23 @@ func (d *DB) contentNode(id hyper.NodeID, want hyper.Kind) (objstore.OID, *objec
 	return oid, o, nil
 }
 
-// Text returns a TextNode's content.
-func (d *DB) Text(id hyper.NodeID) (string, error) {
-	_, o, err := d.contentNode(id, hyper.KindText)
-	if err != nil {
-		return "", err
-	}
-	return string(o.text), nil
+// contentView runs fn over id's object after checking its kind.
+func (d *DB) contentView(id hyper.NodeID, want hyper.Kind, fn func(v objView) error) error {
+	return d.viewNode(id, 0, func(v objView) error {
+		if k := v.kind(); k != want {
+			return fmt.Errorf("%w: node %d is %s", hyper.ErrWrongKind, id, k)
+		}
+		return fn(v)
+	})
+}
+
+// Text returns a TextNode's content, the one copy of it a read makes.
+func (d *DB) Text(id hyper.NodeID) (text string, err error) {
+	err = d.contentView(id, hyper.KindText, func(v objView) error {
+		text = string(v.text())
+		return nil
+	})
+	return text, err
 }
 
 // SetText replaces a TextNode's content.
@@ -570,13 +648,15 @@ func (d *DB) SetText(id hyper.NodeID, text string) error {
 	return d.storeObj(oid, o)
 }
 
-// Form returns a FormNode's bitmap.
-func (d *DB) Form(id hyper.NodeID) (hyper.Bitmap, error) {
-	_, o, err := d.contentNode(id, hyper.KindForm)
-	if err != nil {
-		return hyper.Bitmap{}, err
-	}
-	return hyper.DecodeBitmap(o.form)
+// Form returns a FormNode's bitmap (DecodeBitmap copies the bits out
+// of the borrowed record).
+func (d *DB) Form(id hyper.NodeID) (bm hyper.Bitmap, err error) {
+	err = d.contentView(id, hyper.KindForm, func(v objView) error {
+		b, derr := hyper.DecodeBitmap(v.form())
+		bm = b
+		return derr
+	})
+	return bm, err
 }
 
 // SetForm replaces a FormNode's bitmap.

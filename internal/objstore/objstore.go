@@ -11,6 +11,18 @@
 //
 // Objects larger than a page spill into a chain of overflow pages; the
 // data page keeps a fixed-size stub.
+//
+// Every record stub is stamped with its object's OID. The stamp is
+// what lets readers skip the object table: a caller may remember an
+// object's address (Addr) and read through it later, and the read is
+// trusted only if the stub found there carries the requested OID. An
+// object occupies exactly one stamped slot in every committed state —
+// relocation deletes the old slot in the same transaction that writes
+// the new one — so a stamp match proves the address is current, and a
+// mismatch (or a dead slot, or a page that is no longer a data page)
+// sends the read back through the table. A table entry that lands on a
+// stub stamped with another OID is damage, reported as
+// *ErrCorruptRecord.
 package objstore
 
 import (
@@ -35,16 +47,36 @@ const InvalidOID OID = 0
 // ErrNotFound is returned when an OID does not denote a live object.
 var ErrNotFound = errors.New("objstore: object not found")
 
-// Record stubs stored in slotted pages.
+// ErrCorruptRecord reports an object-table entry whose record stub is
+// stamped with a different OID: the table and the data page disagree
+// about which object lives at the address. Match with errors.As.
+type ErrCorruptRecord struct {
+	OID   OID     // the object looked up
+	Page  page.ID // the address the table gave
+	Slot  uint16
+	Found OID // the OID stamped on the stub there
+}
+
+func (e *ErrCorruptRecord) Error() string {
+	return fmt.Sprintf("objstore: corrupt record: table maps oid %d to %d/%d, whose stub is stamped oid %d",
+		e.OID, e.Page, e.Slot, e.Found)
+}
+
+// Record stubs stored in slotted pages. Both kinds start with the flag
+// byte and the owning OID (the stamp):
+//
+//	inline:   flag | oid u64 | data
+//	overflow: flag | oid u64 | total length u32 | first chain page u64
 const (
 	flagInline   = 0
 	flagOverflow = 1
 
-	overflowStubSize = 1 + 4 + 8 // flag, total length, first chain page
+	stubHeader       = 1 + 8
+	overflowStubSize = stubHeader + 4 + 8
 )
 
 // maxInline is the largest object stored directly in a data page.
-const maxInline = slotted.MaxRecord - 1 // minus the flag byte
+const maxInline = slotted.MaxRecord - stubHeader
 
 // Overflow chain page payload: next page (u64), used bytes (u16), data.
 const (
@@ -181,34 +213,72 @@ func (s *Store) setCursor(id page.ID) error {
 	return nil
 }
 
-// rid is an object's physical address.
-type rid struct {
+// Addr is an object's physical address (data page and slot). Callers
+// outside the package hold it only as an opaque hint for View and
+// ViewBatch; the zero Addr means "no hint".
+type Addr struct {
 	pg   page.ID
 	slot uint16
 }
 
-func ridValue(r rid) []byte {
+// valid reports whether a holds an address (page 0 is the store's meta
+// page, never a data page).
+func (a Addr) valid() bool { return a.pg != 0 && a.pg != page.Invalid }
+
+func addrValue(a Addr) []byte {
 	var b [10]byte
-	binary.LittleEndian.PutUint64(b[:8], uint64(r.pg))
-	binary.LittleEndian.PutUint16(b[8:], r.slot)
+	binary.LittleEndian.PutUint64(b[:8], uint64(a.pg))
+	binary.LittleEndian.PutUint16(b[8:], a.slot)
 	return b[:]
 }
 
-func ridFromValue(b []byte) rid {
-	return rid{page.ID(binary.LittleEndian.Uint64(b[:8])), binary.LittleEndian.Uint16(b[8:])}
+func addrFromValue(b []byte) Addr {
+	return Addr{page.ID(binary.LittleEndian.Uint64(b[:8])), binary.LittleEndian.Uint16(b[8:])}
 }
 
 func oidKey(oid OID) []byte { return btree.U64Key(uint64(oid)) }
 
-func (s *Store) lookup(oid OID) (rid, error) {
-	v, ok, err := s.table.Get(oidKey(oid))
+// lookup walks the object table for oid's address.
+func (s *Store) lookup(oid OID) (Addr, error) {
+	var a Addr
+	found, err := s.table.View(oidKey(oid), func(v []byte) error {
+		a = addrFromValue(v)
+		return nil
+	})
 	if err != nil {
-		return rid{}, err
+		return Addr{}, err
 	}
-	if !ok {
-		return rid{}, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
+	if !found {
+		return Addr{}, fmt.Errorf("%w: oid %d", ErrNotFound, oid)
 	}
-	return ridFromValue(v), nil
+	return a, nil
+}
+
+// stubAt returns the stub in slot a.slot of the pinned data page pg if
+// it is live and stamped with oid. ok is false for a dead or missing
+// slot and for a page that is not a data page; a live stub stamped with
+// another OID returns that OID as other.
+func stubAt(pg *page.Page, a Addr, oid OID) (rec []byte, other OID, ok bool) {
+	if pg.Type() != page.TypeSlotted {
+		return nil, 0, false
+	}
+	rec, ok = slotted.Wrap(pg).Get(int(a.slot))
+	if !ok || len(rec) < stubHeader {
+		return nil, 0, false
+	}
+	if got := OID(binary.LittleEndian.Uint64(rec[1:])); got != oid {
+		return nil, got, false
+	}
+	return rec, 0, true
+}
+
+// stubErr is the error for a table address whose stub did not check
+// out: a stamp mismatch is corruption, a missing stub a stale address.
+func stubErr(oid OID, a Addr, other OID) error {
+	if other != 0 {
+		return &ErrCorruptRecord{OID: oid, Page: a.pg, Slot: a.slot, Found: other}
+	}
+	return fmt.Errorf("%w: stale address %d/%d for oid %d", ErrNotFound, a.pg, a.slot, oid)
 }
 
 // Put stores data as a new object and returns its OID. If near is a
@@ -219,11 +289,11 @@ func (s *Store) Put(data []byte, near OID) (OID, error) {
 	if err != nil {
 		return InvalidOID, err
 	}
-	r, err := s.place(data, near)
+	r, err := s.place(oid, data, near)
 	if err != nil {
 		return InvalidOID, err
 	}
-	if err := s.table.Put(oidKey(oid), ridValue(r)); err != nil {
+	if err := s.table.Put(oidKey(oid), addrValue(r)); err != nil {
 		return InvalidOID, err
 	}
 	return oid, nil
@@ -231,16 +301,16 @@ func (s *Store) Put(data []byte, near OID) (OID, error) {
 
 // place writes the record (inline or overflow stub + chain) and returns
 // its address.
-func (s *Store) place(data []byte, near OID) (rid, error) {
-	rec, err := s.buildRecord(data)
+func (s *Store) place(oid OID, data []byte, near OID) (Addr, error) {
+	rec, err := s.buildRecord(oid, data)
 	if err != nil {
-		return rid{}, err
+		return Addr{}, err
 	}
 	// Near hint first; everything else shares placeRecord.
 	if s.clustering && near != InvalidOID {
 		if nr, err := s.lookup(near); err == nil {
 			if r, ok, err := s.tryInsert(nr.pg, rec); err != nil {
-				return rid{}, err
+				return Addr{}, err
 			} else if ok {
 				return r, nil
 			}
@@ -253,7 +323,7 @@ func (s *Store) place(data []byte, near OID) (rid, error) {
 // placement policy (scatter ring or sequential fill page, then a fresh
 // page). Relocations during Update take the same path, so the policy
 // governs the whole lifetime of a record.
-func (s *Store) placeRecord(rec []byte) (rid, error) {
+func (s *Store) placeRecord(rec []byte) (Addr, error) {
 	if s.scatter > 0 {
 		// Scatter mode: records go to random pages of a constantly
 		// topped-up ring of open pages — never a shared fill page,
@@ -262,7 +332,7 @@ func (s *Store) placeRecord(rec []byte) (rid, error) {
 		for len(s.recent) < s.scatter {
 			id, h, err := s.sp.Alloc(page.TypeSlotted)
 			if err != nil {
-				return rid{}, err
+				return Addr{}, err
 			}
 			h.Release()
 			s.recent = append(s.recent, id)
@@ -271,7 +341,7 @@ func (s *Store) placeRecord(rec []byte) (rid, error) {
 			i := s.scatterRng.Intn(len(s.recent))
 			r, ok, err := s.tryInsert(s.recent[i], rec)
 			if err != nil {
-				return rid{}, err
+				return Addr{}, err
 			}
 			if ok {
 				return r, nil
@@ -284,11 +354,11 @@ func (s *Store) placeRecord(rec []byte) (rid, error) {
 		// Sequential mode: the current fill page.
 		cur, err := s.cursor()
 		if err != nil {
-			return rid{}, err
+			return Addr{}, err
 		}
 		if cur != page.Invalid {
 			if r, ok, err := s.tryInsert(cur, rec); err != nil {
-				return rid{}, err
+				return Addr{}, err
 			} else if ok {
 				return r, nil
 			}
@@ -297,20 +367,20 @@ func (s *Store) placeRecord(rec []byte) (rid, error) {
 	// Fresh page, which becomes the fill page and joins the ring.
 	id, h, err := s.sp.Alloc(page.TypeSlotted)
 	if err != nil {
-		return rid{}, err
+		return Addr{}, err
 	}
 	sp := slotted.Wrap(h.Page())
 	slot, ok := sp.Insert(rec)
 	h.MarkDirty()
 	h.Release()
 	if !ok {
-		return rid{}, errors.New("objstore: record does not fit an empty page")
+		return Addr{}, errors.New("objstore: record does not fit an empty page")
 	}
 	if err := s.setCursor(id); err != nil {
-		return rid{}, err
+		return Addr{}, err
 	}
 	s.noteDataPage(id)
-	return rid{id, uint16(slot)}, nil
+	return Addr{id, uint16(slot)}, nil
 }
 
 // noteDataPage remembers an open data page for the scatter ring.
@@ -321,34 +391,35 @@ func (s *Store) noteDataPage(id page.ID) {
 	s.recent = append(s.recent, id)
 }
 
-func (s *Store) tryInsert(pg page.ID, rec []byte) (rid, bool, error) {
+func (s *Store) tryInsert(pg page.ID, rec []byte) (Addr, bool, error) {
 	h, err := s.sp.Get(pg)
 	if err != nil {
-		return rid{}, false, err
+		return Addr{}, false, err
 	}
 	defer h.Release()
 	if h.Page().Type() != page.TypeSlotted {
-		return rid{}, false, nil
+		return Addr{}, false, nil
 	}
 	sp := slotted.Wrap(h.Page())
 	if !sp.FreeForReserve(len(rec), s.reserve) {
-		return rid{}, false, nil
+		return Addr{}, false, nil
 	}
 	slot, ok := sp.Insert(rec)
 	if !ok {
-		return rid{}, false, nil
+		return Addr{}, false, nil
 	}
 	h.MarkDirty()
-	return rid{pg, uint16(slot)}, true, nil
+	return Addr{pg, uint16(slot)}, true, nil
 }
 
-// buildRecord returns the record bytes: inline payload or an overflow
-// stub with the chain already written.
-func (s *Store) buildRecord(data []byte) ([]byte, error) {
+// buildRecord returns oid's record bytes: a stamped inline payload, or
+// a stamped overflow stub with the chain already written.
+func (s *Store) buildRecord(oid OID, data []byte) ([]byte, error) {
 	if len(data) <= maxInline {
-		rec := make([]byte, 1+len(data))
+		rec := make([]byte, stubHeader+len(data))
 		rec[0] = flagInline
-		copy(rec[1:], data)
+		binary.LittleEndian.PutUint64(rec[1:], uint64(oid))
+		copy(rec[stubHeader:], data)
 		return rec, nil
 	}
 	first, err := s.writeChain(data)
@@ -357,9 +428,16 @@ func (s *Store) buildRecord(data []byte) ([]byte, error) {
 	}
 	rec := make([]byte, overflowStubSize)
 	rec[0] = flagOverflow
-	binary.LittleEndian.PutUint32(rec[1:], uint32(len(data)))
-	binary.LittleEndian.PutUint64(rec[5:], uint64(first))
+	binary.LittleEndian.PutUint64(rec[1:], uint64(oid))
+	binary.LittleEndian.PutUint32(rec[stubHeader:], uint32(len(data)))
+	binary.LittleEndian.PutUint64(rec[stubHeader+4:], uint64(first))
 	return rec, nil
+}
+
+// overflowStub decodes an overflow stub's chain length and first page.
+func overflowStub(rec []byte) (total int, first page.ID) {
+	return int(binary.LittleEndian.Uint32(rec[stubHeader:])),
+		page.ID(binary.LittleEndian.Uint64(rec[stubHeader+4:]))
 }
 
 func (s *Store) writeChain(data []byte) (page.ID, error) {
@@ -396,27 +474,6 @@ func (s *Store) writeChain(data []byte) (page.ID, error) {
 	return first, nil
 }
 
-func (s *Store) readChain(first page.ID, total int) ([]byte, error) {
-	out := make([]byte, 0, total)
-	id := first
-	for id != page.Invalid {
-		h, err := s.sp.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		pl := h.Page().Payload()
-		used := int(binary.LittleEndian.Uint16(pl[ovfUsedOff:]))
-		out = append(out, pl[ovfDataOff:ovfDataOff+used]...)
-		next := page.ID(binary.LittleEndian.Uint64(pl[ovfNextOff:]))
-		h.Release()
-		id = next
-	}
-	if len(out) != total {
-		return nil, fmt.Errorf("objstore: overflow chain length %d, stub says %d", len(out), total)
-	}
-	return out, nil
-}
-
 func (s *Store) freeChain(first page.ID) error {
 	id := first
 	for id != page.Invalid {
@@ -434,37 +491,6 @@ func (s *Store) freeChain(first page.ID) error {
 	return nil
 }
 
-// Get returns a copy of the object's bytes.
-func (s *Store) Get(oid OID) ([]byte, error) {
-	r, err := s.lookup(oid)
-	if err != nil {
-		return nil, err
-	}
-	return s.read(r)
-}
-
-func (s *Store) read(r rid) ([]byte, error) {
-	h, err := s.sp.Get(r.pg)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Release()
-	rec, ok := slotted.Wrap(h.Page()).Get(int(r.slot))
-	if !ok {
-		return nil, fmt.Errorf("%w: stale address %d/%d", ErrNotFound, r.pg, r.slot)
-	}
-	switch rec[0] {
-	case flagInline:
-		return append([]byte(nil), rec[1:]...), nil
-	case flagOverflow:
-		total := int(binary.LittleEndian.Uint32(rec[1:]))
-		first := page.ID(binary.LittleEndian.Uint64(rec[5:]))
-		return s.readChain(first, total)
-	default:
-		return nil, fmt.Errorf("objstore: corrupt record flag %d", rec[0])
-	}
-}
-
 // Update replaces the object's bytes, preserving its OID. The object
 // stays on its page when the new value fits there; otherwise it is
 // relocated and the object table updated.
@@ -477,15 +503,15 @@ func (s *Store) Update(oid OID, data []byte) error {
 	if err != nil {
 		return err
 	}
-	sp := slotted.Wrap(h.Page())
-	old, ok := sp.Get(int(r.slot))
+	old, other, ok := stubAt(h.Page(), r, oid)
 	if !ok {
 		h.Release()
-		return fmt.Errorf("%w: stale address for oid %d", ErrNotFound, oid)
+		return stubErr(oid, r, other)
 	}
+	sp := slotted.Wrap(h.Page())
 	// Free a previous overflow chain if any; we rewrite from scratch.
 	if old[0] == flagOverflow {
-		first := page.ID(binary.LittleEndian.Uint64(old[5:]))
+		_, first := overflowStub(old)
 		h.Release()
 		if err := s.freeChain(first); err != nil {
 			return err
@@ -496,7 +522,7 @@ func (s *Store) Update(oid OID, data []byte) error {
 		}
 		sp = slotted.Wrap(h.Page())
 	}
-	rec, err := s.buildRecord(data)
+	rec, err := s.buildRecord(oid, data)
 	if err != nil {
 		h.Release()
 		return err
@@ -514,7 +540,7 @@ func (s *Store) Update(oid OID, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.table.Put(oidKey(oid), ridValue(nr))
+	return s.table.Put(oidKey(oid), addrValue(nr))
 }
 
 // Delete removes the object and frees any overflow chain. Data pages
@@ -528,15 +554,15 @@ func (s *Store) Delete(oid OID) error {
 	if err != nil {
 		return err
 	}
-	sp := slotted.Wrap(h.Page())
-	rec, ok := sp.Get(int(r.slot))
+	rec, other, ok := stubAt(h.Page(), r, oid)
 	if !ok {
 		h.Release()
-		return fmt.Errorf("%w: stale address for oid %d", ErrNotFound, oid)
+		return stubErr(oid, r, other)
 	}
+	sp := slotted.Wrap(h.Page())
 	var chain page.ID = page.Invalid
 	if rec[0] == flagOverflow {
-		chain = page.ID(binary.LittleEndian.Uint64(rec[5:]))
+		_, chain = overflowStub(rec)
 	}
 	sp.Delete(int(r.slot))
 	empty := sp.Count() == 0
@@ -571,11 +597,16 @@ func (s *Store) Exists(oid OID) (bool, error) {
 // copy and may be retained. The callback returns false to stop early.
 func (s *Store) Scan(fn func(oid OID, data []byte) (bool, error)) error {
 	return s.table.Scan(nil, nil, func(k, v []byte) (bool, error) {
-		data, err := s.read(ridFromValue(v))
-		if err != nil {
+		oid := OID(btree.U64FromKey(k))
+		items := [1]item{{oid: oid, at: addrFromValue(v)}}
+		var data []byte
+		if _, err := s.readItems(items[:], func(_ int, b []byte) error {
+			data = append([]byte(nil), b...)
+			return nil
+		}); err != nil {
 			return false, err
 		}
-		return fn(OID(btree.U64FromKey(k)), data)
+		return fn(oid, data)
 	})
 }
 

@@ -126,6 +126,36 @@ func TestColdWarmFetchCounts(t *testing.T) {
 	}
 }
 
+// TestWarmGetHitAllocatesNothing: a workstation-cache hit pins the
+// frame's own handle and records an existing read-set entry, so it
+// makes no allocation.
+func TestWarmGetHitAllocatesNothing(t *testing.T) {
+	addr, _ := startServer(t)
+	c := dial(t, addr)
+	id, h, err := c.Alloc(page.TypeSlotted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if h, err = c.Get(id); err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	allocs := testing.AllocsPerRun(200, func() {
+		h, err := c.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("cache-hit Get+Release made %v allocations, want 0", allocs)
+	}
+}
+
 func TestOptimisticConflict(t *testing.T) {
 	addr, srv := startServer(t)
 	writer := dial(t, addr)
@@ -166,10 +196,10 @@ func TestOptimisticConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	ha.Page().Payload()[0] = 10
-	a.pool.MarkDirty(ha.(*handle).f)
+	ha.MarkDirty()
 	ha.Release()
 	hb.Page().Payload()[0] = 20
-	bc.pool.MarkDirty(hb.(*handle).f)
+	hb.MarkDirty()
 	hb.Release()
 
 	if err := a.Commit(); err != nil {

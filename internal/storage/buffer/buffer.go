@@ -18,11 +18,20 @@
 // image (Frame.Page), owned by the single writer, and an immutable
 // committed snapshot published with an atomic pointer, which concurrent
 // readers access without pinning the frame at all (see Snapshot).
+//
+// The resident hit path allocates nothing: the eviction list is
+// intrusive (links live in the Frame), and every frame carries its own
+// Handle, so pinning and unpinning a resident page only moves pointers.
+// The pool also tracks its dirty frames as a set, so the commit path's
+// DirtyFrames and MarkAllClean cost O(dirty), not O(resident), and
+// both run in page-ID order — which makes the eviction order after a
+// commit, and hence every later hit and miss, repeat exactly for a
+// given operation sequence.
 package buffer
 
 import (
-	"container/list"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,13 +49,39 @@ type Frame struct {
 	snap  atomic.Pointer[page.Page] // committed copy; always distinct from Page
 	pins  atomic.Int32
 	dirty atomic.Bool
-	// elem is the frame's position in its shard's eviction list. Only
-	// clean, unpinned frames are listed; everything else is ineligible,
-	// which keeps eviction O(1) even when the pool is full of dirty
-	// pages (bulk loads under the no-steal policy). Guarded by the
-	// shard mutex.
-	elem *list.Element
+	// prev and next link the frame into its shard's eviction list
+	// (prev toward the MRU end). Only clean, unpinned frames are
+	// listed; everything else is ineligible, which keeps eviction O(1)
+	// even when the pool is full of dirty pages (bulk loads under the
+	// no-steal policy). listed and resident are guarded by the shard
+	// mutex; resident clears when the frame leaves the frame table
+	// (eviction, Forget, Drop, DropClean).
+	prev, next *Frame
+	listed     bool
+	resident   bool
+
+	pool *Pool
+	h    Handle
 }
+
+// Handle is a frame's pinned-reference view: the page image, dirty
+// marking and unpinning, in the shape of the store's Handle interface.
+// Every frame embeds its own Handle, so handing one out allocates
+// nothing; each pin is still released exactly once through it.
+type Handle struct{ f *Frame }
+
+// Handle returns the frame's handle. The caller must hold a pin, which
+// Release on the handle drops.
+func (f *Frame) Handle() *Handle { return &f.h }
+
+// Page returns the frame's working image.
+func (h *Handle) Page() *page.Page { return h.f.Page }
+
+// MarkDirty flags the frame as modified (see Pool.MarkDirty).
+func (h *Handle) MarkDirty() { h.f.pool.MarkDirty(h.f) }
+
+// Release unpins the frame (see Pool.Release).
+func (h *Handle) Release() { h.f.pool.Release(h.f) }
 
 // Dirty reports whether the frame has modifications that are not yet in
 // the main database file.
@@ -82,7 +117,9 @@ type shard struct {
 	mu     sync.Mutex
 	cap    int
 	frames map[page.ID]*Frame
-	lru    *list.List // of evictable (clean, unpinned) *Frame; front = MRU
+	// mru and lru are the ends of the intrusive eviction list of
+	// evictable (clean, unpinned) frames.
+	mru, lru *Frame
 }
 
 // Pool is an LRU page cache.
@@ -90,6 +127,12 @@ type Pool struct {
 	shards []shard
 	mask   uint64
 	cap    int
+
+	// dirty is the set of resident frames flagged dirty. dirtyMu nests
+	// inside a shard mutex (MarkDirty, Forget) and is never held while
+	// taking one.
+	dirtyMu sync.Mutex
+	dirty   map[page.ID]*Frame
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -108,13 +151,13 @@ func New(capacity int) *Pool {
 	if capacity < 8*shardCount {
 		n = 1
 	}
-	p := &Pool{shards: make([]shard, n), mask: uint64(n - 1), cap: capacity}
+	p := &Pool{shards: make([]shard, n), mask: uint64(n - 1), cap: capacity, dirty: make(map[page.ID]*Frame)}
 	for i := range p.shards {
 		c := capacity / n
 		if i < capacity%n {
 			c++
 		}
-		p.shards[i] = shard{cap: c, frames: make(map[page.ID]*Frame, c), lru: list.New()}
+		p.shards[i] = shard{cap: c, frames: make(map[page.ID]*Frame, c)}
 	}
 	return p
 }
@@ -190,7 +233,8 @@ func (p *Pool) GetOrInsert(id page.ID, img *page.Page) (*Frame, bool) {
 
 func (p *Pool) insertLocked(sh *shard, id page.ID, img *page.Page) *Frame {
 	p.makeRoomLocked(sh)
-	f := &Frame{ID: id, Page: img}
+	f := &Frame{ID: id, Page: img, pool: p, resident: true}
+	f.h.f = f
 	f.pins.Store(1)
 	cp := *img
 	f.snap.Store(&cp)
@@ -204,23 +248,46 @@ func (sh *shard) pinLocked(f *Frame) {
 }
 
 func (sh *shard) unlistLocked(f *Frame) {
-	if f.elem != nil {
-		sh.lru.Remove(f.elem)
-		f.elem = nil
+	if !f.listed {
+		return
 	}
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		sh.mru = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		sh.lru = f.prev
+	}
+	f.prev, f.next, f.listed = nil, nil, false
 }
 
-// relistLocked makes f evictable if it is clean, unpinned, and still
-// the shard's frame for its page. The residency check matters after
+// relistLocked makes f evictable (at the MRU end) if it is clean,
+// unpinned, and still resident. The residency check matters after
 // Drop/DropClean/Forget: a handle released later must not re-enter the
 // eviction list as a zombie, where its eventual eviction would delete
 // whatever fresh frame now holds the same page ID.
 func (sh *shard) relistLocked(f *Frame) {
-	if f.elem == nil && f.pins.Load() == 0 && !f.dirty.Load() {
-		if cur, ok := sh.frames[f.ID]; ok && cur == f {
-			f.elem = sh.lru.PushFront(f)
-		}
+	if f.listed || !f.resident || f.pins.Load() != 0 || f.dirty.Load() {
+		return
 	}
+	f.next = sh.mru
+	if sh.mru != nil {
+		sh.mru.prev = f
+	} else {
+		sh.lru = f
+	}
+	sh.mru = f
+	f.listed = true
+}
+
+// removeLocked takes f out of the frame table and the eviction list.
+func (sh *shard) removeLocked(f *Frame) {
+	sh.unlistLocked(f)
+	f.resident = false
+	delete(sh.frames, f.ID)
 }
 
 // Release unpins a frame previously returned by Get or Insert. When the
@@ -242,14 +309,11 @@ func (p *Pool) Release(f *Frame) {
 // eviction list is empty and the shard grows instead (no-steal).
 func (p *Pool) makeRoomLocked(sh *shard) {
 	for len(sh.frames) >= sh.cap {
-		e := sh.lru.Back()
-		if e == nil {
+		f := sh.lru
+		if f == nil {
 			return // everything dirty or pinned: allow growth
 		}
-		f := e.Value.(*Frame)
-		sh.lru.Remove(e)
-		f.elem = nil
-		delete(sh.frames, f.ID)
+		sh.removeLocked(f)
 		p.evictions.Add(1)
 	}
 }
@@ -257,11 +321,21 @@ func (p *Pool) makeRoomLocked(sh *shard) {
 // MarkDirty flags a (pinned) frame as modified, removing it from the
 // eviction candidates until the next commit cleans it.
 func (p *Pool) MarkDirty(f *Frame) {
+	if f.dirty.Load() {
+		// Already unlisted and in the dirty set (dirty flags are set
+		// and cleared only by the single writer).
+		return
+	}
 	sh := p.shardFor(f.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	f.dirty.Store(true)
 	sh.unlistLocked(f)
+	if f.resident {
+		p.dirtyMu.Lock()
+		p.dirty[f.ID] = f
+		p.dirtyMu.Unlock()
+	}
 }
 
 // DirtyFrames returns the frames currently flagged dirty, sorted by
@@ -270,34 +344,49 @@ func (p *Pool) MarkDirty(f *Frame) {
 // WAL and file images on every machine — which the seeded crash-point
 // sweeps rely on (map iteration order would reshuffle every run). The
 // frames are not pinned; the caller must hold the store's writer lock
-// while using them.
+// while using them. The cost is O(dirty): a read-only commit pays
+// nothing for a large resident set.
 func (p *Pool) DirtyFrames() []*Frame {
-	var out []*Frame
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, f := range sh.frames {
-			if f.dirty.Load() {
-				out = append(out, f)
-			}
-		}
-		sh.mu.Unlock()
+	return p.takeDirty(false)
+}
+
+// takeDirty lists the dirty set in page-ID order, emptying it when
+// reset is set.
+func (p *Pool) takeDirty(reset bool) []*Frame {
+	p.dirtyMu.Lock()
+	if len(p.dirty) == 0 {
+		p.dirtyMu.Unlock()
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]*Frame, 0, len(p.dirty))
+	for _, f := range p.dirty {
+		out = append(out, f)
+	}
+	if reset {
+		clear(p.dirty)
+	}
+	p.dirtyMu.Unlock()
+	slices.SortFunc(out, func(a, b *Frame) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
-// MarkAllClean clears the dirty flag on every frame (after the images
-// have been made durable via the WAL or the main file), returning the
-// unpinned ones to the eviction candidates.
+// DirtyCount reports how many frames are flagged dirty.
+func (p *Pool) DirtyCount() int {
+	p.dirtyMu.Lock()
+	defer p.dirtyMu.Unlock()
+	return len(p.dirty)
+}
+
+// MarkAllClean clears the dirty flag on every dirty frame (after the
+// images have been made durable via the WAL or the main file),
+// returning the unpinned ones to the eviction candidates in page-ID
+// order, so the eviction order that follows is the same on every run.
 func (p *Pool) MarkAllClean() {
-	for i := range p.shards {
-		sh := &p.shards[i]
+	for _, f := range p.takeDirty(true) {
+		sh := p.shardFor(f.ID)
 		sh.mu.Lock()
-		for _, f := range sh.frames {
-			f.dirty.Store(false)
-			sh.relistLocked(f)
-		}
+		f.dirty.Store(false)
+		sh.relistLocked(f)
 		sh.mu.Unlock()
 	}
 }
@@ -312,8 +401,10 @@ func (p *Pool) Forget(id page.ID) {
 	if !ok {
 		return
 	}
-	sh.unlistLocked(f)
-	delete(sh.frames, id)
+	sh.removeLocked(f)
+	p.dirtyMu.Lock()
+	delete(p.dirty, id)
+	p.dirtyMu.Unlock()
 }
 
 // Drop discards every frame. It is the in-process equivalent of closing
@@ -324,10 +415,16 @@ func (p *Pool) Drop() {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
+		for _, f := range sh.frames {
+			sh.unlistLocked(f)
+			f.resident = false
+		}
 		sh.frames = make(map[page.ID]*Frame, sh.cap)
-		sh.lru.Init()
 		sh.mu.Unlock()
 	}
+	p.dirtyMu.Lock()
+	clear(p.dirty)
+	p.dirtyMu.Unlock()
 }
 
 // DropClean discards every clean, unpinned frame. This is the remote
@@ -339,10 +436,9 @@ func (p *Pool) DropClean() {
 	for i := range p.shards {
 		sh := &p.shards[i]
 		sh.mu.Lock()
-		for id, f := range sh.frames {
+		for _, f := range sh.frames {
 			if !f.dirty.Load() && f.pins.Load() == 0 {
-				sh.unlistLocked(f)
-				delete(sh.frames, id)
+				sh.removeLocked(f)
 			}
 		}
 		sh.mu.Unlock()

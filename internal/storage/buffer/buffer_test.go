@@ -232,3 +232,77 @@ func TestResidentIDs(t *testing.T) {
 		t.Fatalf("resident = %v", ids)
 	}
 }
+
+// evictionTrace runs a fixed sequence — fill the pool, dirty every
+// frame, clean them in one MarkAllClean, then insert fresh pages — and
+// returns the page each fresh insert evicted.
+func evictionTrace(t *testing.T) []page.ID {
+	t.Helper()
+	const capacity = 16
+	p := New(capacity)
+	for id := page.ID(1); id <= capacity; id++ {
+		f := p.Insert(id, page.New(page.TypeSlotted))
+		p.MarkDirty(f)
+		p.Release(f)
+	}
+	p.MarkAllClean()
+	var evicted []page.ID
+	for id := page.ID(capacity + 1); id <= 2*capacity; id++ {
+		before := map[page.ID]bool{}
+		for _, r := range p.ResidentIDs() {
+			before[r] = true
+		}
+		p.Release(p.Insert(id, page.New(page.TypeSlotted)))
+		for _, r := range p.ResidentIDs() {
+			delete(before, r)
+		}
+		for r := range before {
+			evicted = append(evicted, r)
+		}
+	}
+	return evicted
+}
+
+// TestEvictionOrderRepeats: two identical operation sequences evict in
+// the same order. MarkAllClean relists the cleaned frames in page-ID
+// order, so the oldest-listed (first evicted) is the lowest page ID;
+// relisting in map order made eviction — and every later hit and miss
+// count — differ from run to run.
+func TestEvictionOrderRepeats(t *testing.T) {
+	a, b := evictionTrace(t), evictionTrace(t)
+	if len(a) != 16 {
+		t.Fatalf("evicted %d pages, want 16: %v", len(a), a)
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("eviction orders differ: %v vs %v", a, b)
+		}
+		if a[i] != page.ID(i+1) {
+			t.Fatalf("eviction order %v, want page-ID order", a)
+		}
+	}
+}
+
+// TestDirtySetTracksForgetAndDrop: the dirty set follows the frames
+// out of the pool, so a commit never writes back a forgotten page.
+func TestDirtySetTracksForgetAndDrop(t *testing.T) {
+	p := New(8)
+	for id := page.ID(1); id <= 3; id++ {
+		f := p.Insert(id, page.New(page.TypeSlotted))
+		p.MarkDirty(f)
+		p.Release(f)
+	}
+	p.Forget(2)
+	got := p.DirtyFrames()
+	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 3 || p.DirtyCount() != 2 {
+		t.Fatalf("dirty after Forget = %v", got)
+	}
+	// A zombie (dropped while pinned) marked dirty stays out of the set.
+	z := p.Insert(4, page.New(page.TypeSlotted))
+	p.Drop()
+	p.MarkDirty(z)
+	p.Release(z)
+	if n := p.DirtyCount(); n != 0 {
+		t.Fatalf("dirty after Drop = %d frames, want 0", n)
+	}
+}

@@ -85,6 +85,10 @@ const NumRoots = 16
 // ErrReadOnly is returned by mutating operations on a ReadView.
 var ErrReadOnly = errors.New("store: read-only view")
 
+// ErrFormatVersion is returned by Open for a database file written in
+// an on-disk format this code does not read.
+var ErrFormatVersion = errors.New("store: unsupported database format")
+
 // ErrSnapshotTooOld is returned by a SnapshotView whose pinned version
 // has aged out of the version ring: more than Options.VersionRing
 // commits have landed since the view was pinned, so the before-images
@@ -141,7 +145,11 @@ const (
 
 var metaMagic = [8]byte{'H', 'Y', 'P', 'M', 'O', 'D', 'B', '1'}
 
-const formatVersion = 1
+// formatVersion is the on-disk format the store writes and accepts.
+// Version 2 stamps every object-store record stub with its OID (see
+// package objstore); a version 1 file lacks the stamps and cannot be
+// read by this code.
+const formatVersion = 2
 
 // Options configure a Store.
 type Options struct {
@@ -433,7 +441,11 @@ func (s *Store) loadMeta() error {
 		return errors.New("store: not a hypermodel database (bad magic)")
 	}
 	if v := binary.LittleEndian.Uint32(pl[metaVersionOff:]); v != formatVersion {
-		return fmt.Errorf("store: unsupported format version %d", v)
+		if v == 1 {
+			return fmt.Errorf("%w: version 1 predates OID-stamped object records (version %d); regenerate the database",
+				ErrFormatVersion, formatVersion)
+		}
+		return fmt.Errorf("%w: version %d (want %d)", ErrFormatVersion, v, formatVersion)
 	}
 	s.metaMu.Lock()
 	s.meta = m
@@ -451,34 +463,25 @@ func (s *Store) installMetaSnap() {
 	s.metaSnap.Store(&cp)
 }
 
-// handle implements Handle for the local store.
-type handle struct {
-	s *Store
-	f *buffer.Frame
-}
-
-func (h *handle) Page() *page.Page { return h.f.Page }
-func (h *handle) MarkDirty()       { h.s.pool.MarkDirty(h.f) }
-func (h *handle) Release()         { h.s.pool.Release(h.f) }
-
 // Get pins the page with the given ID, reading it from disk on a miss.
 // Get never takes the writer lock: any number of goroutines may call it
 // concurrently, and no lock is held across the disk read. Two goroutines
 // that both miss on the same page both read it and race to insert; the
-// loser adopts the winner's frame.
+// loser adopts the winner's frame. A hit allocates nothing: the handle
+// is the frame's own (buffer.Handle).
 func (s *Store) Get(id page.ID) (Handle, error) {
 	if id == 0 || id == page.Invalid {
 		return nil, fmt.Errorf("store: get page %d: reserved page", id)
 	}
 	if f := s.pool.Get(id); f != nil {
-		return &handle{s, f}, nil
+		return f.Handle(), nil
 	}
 	img := &page.Page{}
 	if err := s.readPage(id, img); err != nil {
 		return nil, err
 	}
 	f, _ := s.pool.GetOrInsert(id, img)
-	return &handle{s, f}, nil
+	return f.Handle(), nil
 }
 
 // readPage reads a page from the main file under the write-back fence.
@@ -518,9 +521,8 @@ func (s *Store) Alloc(t page.Type) (page.ID, Handle, error) {
 	}
 	img := page.New(t)
 	f := s.pool.Insert(id, img)
-	h := &handle{s, f}
-	h.MarkDirty()
-	return id, h, nil
+	s.pool.MarkDirty(f)
+	return id, f.Handle(), nil
 }
 
 // Free pushes page id onto the free list.
@@ -807,7 +809,7 @@ func (s *Store) checkpointLocked() error {
 func (s *Store) DropCache() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	if len(s.pool.DirtyFrames()) > 0 {
+	if s.pool.DirtyCount() > 0 {
 		return errors.New("store: DropCache with uncommitted changes")
 	}
 	s.pool.Drop()

@@ -2,10 +2,13 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hypermodel/internal/storage/page"
+	"hypermodel/internal/storage/pager"
 	"hypermodel/internal/storage/vfs"
 )
 
@@ -318,5 +321,67 @@ func TestAutoCheckpointBoundsWAL(t *testing.T) {
 	}
 	if size := s.WALSizeForTesting(); size > 6*page.Size {
 		t.Fatalf("WAL grew unbounded: %d bytes", size)
+	}
+}
+
+// TestWarmGetAllocatesNothing: pinning and unpinning a resident page
+// is the hottest path in the system; it must not allocate (the handle
+// is the frame's own, and the eviction list is intrusive).
+func TestWarmGetAllocatesNothing(t *testing.T) {
+	s, _ := openTemp(t, &Options{FS: vfs.NewMem()})
+	id, h, err := s.Alloc(page.TypeSlotted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		h, err := s.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Get+Release made %v allocations, want 0", allocs)
+	}
+}
+
+// TestOpenRejectsFormatV1: a file written before record stubs carried
+// their OID (format version 1) must be refused with a clear, typed
+// error rather than misread.
+func TestOpenRejectsFormatV1(t *testing.T) {
+	fs := vfs.NewMem()
+	path := "v1.db"
+	s, err := Open(path, &Options{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := pager.OpenFS(fs, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta page.Page
+	if err := pg.Read(0, &meta); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(meta.Payload()[metaVersionOff:], 1)
+	if err := pg.Write(0, &meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(path, &Options{FS: fs})
+	if !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("open of a version 1 file: %v, want ErrFormatVersion", err)
+	}
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("error %q does not name the file's version", err)
 	}
 }
